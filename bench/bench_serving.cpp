@@ -1,16 +1,18 @@
 // Serving-layer throughput and latency: micro-batched inference vs the
 // unbatched fast path on the LM-mlp estimator, plus the cost of hot-swapping
-// model snapshots under load. Emits BENCH_serving.json.
+// model snapshots under load. Emits BENCH_serving.json (path overridable as
+// argv[1]).
 //
 // The headline series is single-producer qps at batch_max ∈ {1, 8, 32}:
 // batch_max = 1 is the inline per-query GEMV path, larger settings pipeline
-// requests through the micro-batcher so the MLP forward pass runs as one
-// GEMM over the whole batch (weights stream from memory once per batch
-// instead of once per query). SIMD kernels are enabled, as a serving
-// deployment would run them.
+// requests through the micro-batcher, drained on a local one-worker
+// util::ThreadPool, so the MLP forward pass runs as one GEMM over the whole
+// batch (weights stream from memory once per batch instead of once per
+// query). SIMD kernels are enabled, as a serving deployment would run them.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "serve/batcher.h"
 #include "serve/snapshot.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "workload/generator.h"
 
@@ -66,20 +69,20 @@ serve::EstimateRequest Req(const std::vector<double>& features) {
 core::ServeConfig ServeConfigFor(size_t batch_max) {
   core::ServeConfig config;
   config.batch_max = batch_max;
-  config.batch_timeout_us = 100;
   config.queue_capacity = 4096;
   return config;
 }
 
 // Single-producer throughput at one batch_max setting. batch_max == 1 runs
 // the synchronous inline path; larger settings keep a pipeline of async
-// requests in flight so the dispatcher always has a full batch to coalesce.
+// requests in flight so each drain task has a full batch to coalesce.
 SeriesPoint RunSeries(const serve::SnapshotStore& store, size_t batch_max,
                       const std::vector<std::vector<double>>& features,
                       size_t requests) {
+  util::ThreadPool pool(2);  // ThreadPool(n) spawns n-1 workers
   serve::MicroBatcher batcher(ServeConfigFor(batch_max), &store,
                               features[0].size());
-  if (batch_max > 1) WARPER_CHECK(batcher.Start().ok());
+  if (batch_max > 1) WARPER_CHECK(batcher.Start(&pool).ok());
 
   // Warmup.
   for (size_t i = 0; i < 512; ++i) {
@@ -113,7 +116,7 @@ SeriesPoint RunSeries(const serve::SnapshotStore& store, size_t batch_max,
   point.qps = static_cast<double>(requests) / timer.Seconds();
 
   // Closed-loop latency: one synchronous request at a time, so the batched
-  // settings pay their coalescing wait honestly.
+  // settings pay their queue hand-off honestly.
   const size_t latency_probes = std::min<size_t>(requests / 4, 2000);
   std::vector<double> latencies_us;
   latencies_us.reserve(latency_probes);
@@ -176,10 +179,11 @@ SwapStats RunSwapStorm(serve::SnapshotStore* store,
 }  // namespace
 }  // namespace warper::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace warper;
   using namespace warper::bench;
   BenchInit();
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_serving.json";
 
   // Serving runs the SIMD kernels: determinism across kernel choices is a
   // test concern, not a deployment one.
@@ -273,6 +277,6 @@ int main() {
   w.EndObject();
   AttachMetricsSnapshot(&w);
   w.EndObject();
-  EmitJson(w, "BENCH_serving.json");
+  EmitJson(w, out_path);
   return 0;
 }

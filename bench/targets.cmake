@@ -29,6 +29,5 @@ warper_bench(bench_annotate)
 warper_bench(bench_parallel)
 warper_bench(bench_kernels)
 warper_bench(bench_serving)
-warper_bench(bench_fleet)
 warper_bench(bench_targeted)
 warper_bench(bench_driftgrid)

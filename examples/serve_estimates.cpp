@@ -1,10 +1,10 @@
 // Serving: concurrent cardinality estimates in front of a live Warper.
 //
-// Trains an LM-mlp on workload w1, wraps it in an EstimationServer, then
-// runs optimizer traffic and adaptation at the same time:
+// Trains an LM-mlp on workload w1, serves it from a one-tenant
+// ServingFleet, then runs optimizer traffic and adaptation at the same time:
 //   - four producer threads stream estimate requests through the
 //     micro-batcher (one GEMM per coalesced batch) while
-//   - the background adaptation thread ingests drifted w3 queries via
+//   - the background adaptation executor ingests drifted w3 queries via
 //     SubmitInvocation, gates each adapted model on a fixed eval set, and
 //     hot-swaps the served snapshot when the gate passes.
 // Producers never block on a swap: they read versioned immutable snapshots
@@ -21,7 +21,7 @@
 #include "ce/metrics.h"
 #include "ce/query_domain.h"
 #include "core/warper.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 #include "storage/annotator.h"
 #include "storage/datasets.h"
 #include "util/rng.h"
@@ -30,6 +30,8 @@
 using namespace warper;  // NOLINT — example brevity
 
 namespace {
+
+constexpr uint64_t kTenant = 1;
 
 std::vector<ce::LabeledExample> MakeExamples(
     const storage::Table& table, const storage::Annotator& annotator,
@@ -69,7 +71,7 @@ int main() {
   core::WarperConfig config;
   config.n_p = 200;
   config.serve.batch_max = 16;
-  config.serve.queue_capacity = 512;
+  config.serve.tenant_queue_depth = 512;
   config.serve.overflow = core::ServeConfig::Overflow::kShed;
   core::Warper warper(&domain, &model, config);
   if (Status st = warper.Initialize(train); !st.ok()) {
@@ -81,18 +83,19 @@ int main() {
   // adaptation only ships if it does not regress on this benchmark.
   std::vector<ce::LabeledExample> eval = MakeExamples(
       table, annotator, domain, workload::GenMethod::kW3, 150, &rng);
-  serve::EstimationServer server(&warper);
-  if (Status st = server.SetEvalSet(eval); !st.ok()) {
-    std::cerr << "SetEvalSet failed: " << st.ToString() << "\n";
+  // A single-tenant deployment is a ServingFleet with one tenant.
+  serve::ServingFleet fleet(config.serve);
+  Status st = fleet.AddTenant(kTenant, &warper);
+  if (st.ok()) st = fleet.SetEvalSet(kTenant, eval);
+  if (st.ok()) st = fleet.Start();
+  if (!st.ok()) {
+    std::cerr << "fleet start failed: " << st.ToString() << "\n";
     return 1;
   }
-  if (Status st = server.Start(); !st.ok()) {
-    std::cerr << "Start failed: " << st.ToString() << "\n";
-    return 1;
-  }
-  std::cout << "serving version " << server.CurrentVersion()
+  serve::EstimationServer* server = fleet.tenant(kTenant);
+  std::cout << "serving version " << server->CurrentVersion()
             << " (gate GMQ on eval set: "
-            << server.store().Current()->gmq() << ")\n";
+            << server->store().Current()->gmq() << ")\n";
 
   // Optimizer traffic: four producers streaming drifted-workload estimates
   // while adaptation runs underneath them.
@@ -112,8 +115,9 @@ int main() {
         size_t i = static_cast<size_t>(local.UniformInt(
             0, static_cast<int64_t>(request_features.size()) - 1));
         serve::EstimateRequest request;
+        request.tenant_id = kTenant;
         request.features = request_features[i];
-        if (server.Estimate(request).ok()) served.fetch_add(1);
+        if (fleet.Estimate(request).ok()) served.fetch_add(1);
       }
     });
   }
@@ -125,7 +129,7 @@ int main() {
     invocation.new_queries = MakeExamples(table, annotator, domain,
                                           workload::GenMethod::kW3, 48, &rng);
     Result<serve::AdaptationOutcome> outcome =
-        server.SubmitInvocation(std::move(invocation)).get();
+        fleet.SubmitInvocation(kTenant, std::move(invocation)).get();
     if (!outcome.ok()) {
       std::cerr << "adaptation failed: " << outcome.status().ToString()
                 << "\n";
@@ -143,7 +147,7 @@ int main() {
   for (std::thread& t : producers) t.join();
   std::cout << "served " << served.load()
             << " estimates concurrently with adaptation; final version "
-            << server.CurrentVersion() << "\n";
+            << server->CurrentVersion() << "\n";
 
   // Rollback demo: label an eval set with the model's own estimates — the
   // served model is "perfect" on it, so any further weight movement gates
@@ -156,7 +160,7 @@ int main() {
           {ex.features, static_cast<int64_t>(std::llround(est))});
     }
   }
-  server.Stop();
+  fleet.Stop();
   core::WarperConfig strict = config;
   strict.serve.regression_tolerance = 1.0;
   core::Warper warper2(&domain, &model, strict);
@@ -164,16 +168,17 @@ int main() {
     std::cerr << "Initialize failed: " << st.ToString() << "\n";
     return 1;
   }
-  serve::EstimationServer guard(&warper2);
-  if (!guard.SetEvalSet(adversarial).ok() || !guard.Start().ok()) {
-    std::cerr << "guard server failed to start\n";
+  serve::ServingFleet guard(strict.serve);
+  if (!guard.AddTenant(kTenant, &warper2).ok() ||
+      !guard.SetEvalSet(kTenant, adversarial).ok() || !guard.Start().ok()) {
+    std::cerr << "guard fleet failed to start\n";
     return 1;
   }
   core::Warper::Invocation invocation;
   invocation.new_queries = MakeExamples(table, annotator, domain,
                                         workload::GenMethod::kW2, 60, &rng);
   Result<serve::AdaptationOutcome> guarded =
-      guard.SubmitInvocation(std::move(invocation)).get();
+      guard.SubmitInvocation(kTenant, std::move(invocation)).get();
   if (!guarded.ok()) {
     std::cerr << "adaptation failed: " << guarded.status().ToString() << "\n";
     return 1;
@@ -183,7 +188,7 @@ int main() {
             << (guarded.ValueOrDie().rolled_back
                     ? " => rolled back, still serving v"
                     : " => serving v")
-            << guard.CurrentVersion() << "\n";
+            << guard.tenant(kTenant)->CurrentVersion() << "\n";
   guard.Stop();
   return 0;
 }

@@ -20,9 +20,6 @@ Status BadKnob(const std::string& what) {
 
 Status ServeConfig::Validate() const {
   if (batch_max == 0) return BadKnob("serve.batch_max must be > 0");
-  if (batch_timeout_us < 0) {
-    return BadKnob("serve.batch_timeout_us must be >= 0");
-  }
   if (queue_capacity == 0) return BadKnob("serve.queue_capacity must be > 0");
   if (batch_max > queue_capacity) {
     return BadKnob("serve.batch_max must be <= serve.queue_capacity");

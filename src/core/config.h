@@ -19,15 +19,12 @@ enum class GeneratorVariant { kGan, kNoiseAug };
 
 // Knobs for the serving layer (src/serve): the micro-batcher in front of
 // the estimator, the admission controller on its queue, and the eval gate
-// the background adaptation thread applies before publishing a snapshot.
+// the background adaptation executor applies before publishing a snapshot.
 struct ServeConfig {
   // Micro-batcher: requests coalesced into one Mlp::Predict matrix pass.
   // batch_max = 1 disables coalescing — Estimate() computes inline on the
   // caller's thread against the current snapshot (the lock-free fast path).
   size_t batch_max = 32;
-  // After the first request of a batch arrives, how long the dispatcher
-  // waits for more before running a partial batch.
-  int64_t batch_timeout_us = 200;
 
   // Admission control: bounded request queue, and what an arrival does when
   // the queue is full — wait for space (kBlock) or fail fast with

@@ -13,7 +13,7 @@
 namespace warper::serve {
 namespace {
 
-// Pool mode: batches one drain task serves before handing its worker back
+// Batches one drain task serves before handing its worker back
 // (and resubmitting itself if the queue is still non-empty) — keeps a hot
 // tenant from pinning a shared worker while siblings wait for a slot.
 constexpr int kDrainRoundsPerTask = 4;
@@ -50,32 +50,20 @@ MicroBatcher::MicroBatcher(const core::ServeConfig& config,
 
 MicroBatcher::~MicroBatcher() { Stop(); }
 
-Status MicroBatcher::Start() {
-  util::MutexLock lk(&mu_);
-  if (started_ || stop_) {
-    return Status::FailedPrecondition(
-        "MicroBatcher::Start: already started or stopped");
-  }
-  started_ = true;
-  window_start_ = AdmissionController::Clock::now();
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
-  return Status::OK();
-}
-
-Status MicroBatcher::StartOnPool(util::ThreadPool* pool) {
+Status MicroBatcher::Start(util::ThreadPool* pool) {
   WARPER_CHECK(pool != nullptr);
   bool schedule_drain = false;
   {
     util::MutexLock lk(&mu_);
     if (started_ || stop_) {
       return Status::FailedPrecondition(
-          "MicroBatcher::StartOnPool: already started or stopped");
+          "MicroBatcher::Start: already started or stopped");
     }
     started_ = true;
     pool_ = pool;
     window_start_ = AdmissionController::Clock::now();
     // Anything enqueued before the start (EstimateAsync) needs a drain task.
-    if (!queue_.empty() && !drain_scheduled_) {
+    if (!queue_.empty()) {
       drain_scheduled_ = true;
       schedule_drain = true;
     }
@@ -91,15 +79,13 @@ void MicroBatcher::Stop() {
     util::MutexLock lk(&mu_);
     if (stop_) return;
     stop_ = true;
-    // Pool mode: wait out the in-flight drain task (it exits on stop_ and
-    // signals) so no task touches this object after Stop returns.
+    // Wait out the in-flight drain task (it exits on stop_ and signals) so
+    // no task touches this object after Stop returns.
     while (drain_scheduled_) drain_idle_.Wait(&mu_);
   }
-  not_empty_.NotifyAll();
   not_full_.NotifyAll();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  // No dispatcher will ever run again: answer anything still queued (a
-  // Stop() before Start(), or pool mode's undrained tail).
+  // No drain task will ever run again: answer anything still queued (a
+  // Stop() before Start(), or the undrained tail).
   std::deque<Pending> orphans;
   {
     util::MutexLock lk(&mu_);
@@ -123,6 +109,8 @@ size_t MicroBatcher::ApproxQueueDepth() const {
 
 Result<EstimateResponse> MicroBatcher::EstimateDirect(
     const EstimateRequest& request) const {
+  const AdmissionController::Clock::time_point start =
+      AdmissionController::Clock::now();
   if (request.features.size() != feature_dim_) {
     return Status::InvalidArgument(
         "Estimate: got " + std::to_string(request.features.size()) +
@@ -132,11 +120,18 @@ Result<EstimateResponse> MicroBatcher::EstimateDirect(
   if (snap == nullptr) {
     return Status::FailedPrecondition("no model snapshot published yet");
   }
-  GetBatcherMetrics().requests->Increment();
+  BatcherMetrics& m = GetBatcherMetrics();
+  m.requests->Increment();
   served_total_.fetch_add(1, std::memory_order_relaxed);
   nn::Matrix x(1, request.features.size());
   x.SetRow(0, request.features);
   std::vector<double> targets = snap->model().EstimateTargets(x);
+  // Qualified so warper-analyzer's name-based call graph resolves it to
+  // Histogram::Observe (relaxed atomics only), not every `Observe`.
+  m.latency_us->util::Histogram::Observe(
+      std::chrono::duration<double, std::micro>(
+          AdmissionController::Clock::now() - start)
+          .count());
   EstimateResponse response;
   response.estimate = ce::TargetToCard(targets[0]);
   response.version = snap->version();
@@ -163,44 +158,6 @@ std::future<Result<EstimateResponse>> MicroBatcher::EstimateAsync(
   return failed.get_future();
 }
 
-// --- Deprecated positional shims: thin wrappers over the struct API. ---
-
-Result<double> MicroBatcher::Estimate(std::vector<double> features,
-                                      int64_t deadline_us) {
-  EstimateRequest request;
-  request.features = std::move(features);
-  request.deadline_us = deadline_us;
-  Result<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return response.status();
-  return response.ValueOrDie().estimate;
-}
-
-std::future<Result<double>> MicroBatcher::EstimateAsync(
-    std::vector<double> features, int64_t deadline_us) {
-  EstimateRequest request;
-  request.features = std::move(features);
-  request.deadline_us = deadline_us;
-  std::future<Result<EstimateResponse>> inner =
-      EstimateAsync(std::move(request));
-  // Deferred adapter, not a thread: the request is already enqueued above;
-  // get() on the returned future blocks on the inner one.
-  return std::async(std::launch::deferred,
-                    [f = std::move(inner)]() mutable -> Result<double> {
-                      Result<EstimateResponse> r = f.get();
-                      if (!r.ok()) return r.status();
-                      return r.ValueOrDie().estimate;
-                    });
-}
-
-Result<double> MicroBatcher::EstimateDirect(
-    const std::vector<double>& features) const {
-  EstimateRequest request;
-  request.features = features;
-  Result<EstimateResponse> response = EstimateDirect(request);
-  if (!response.ok()) return response.status();
-  return response.ValueOrDie().estimate;
-}
-
 Result<std::future<Result<EstimateResponse>>> MicroBatcher::Enqueue(
     EstimateRequest request, bool block_until_admitted) {
   if (request.features.size() != feature_dim_) {
@@ -211,7 +168,6 @@ Result<std::future<Result<EstimateResponse>>> MicroBatcher::Enqueue(
   AdmissionController::Clock::time_point deadline =
       admission_.DeadlineFor(request.deadline_us);
   std::future<Result<EstimateResponse>> future;
-  size_t depth = 0;
   bool schedule_drain = false;
   {
     util::MutexLock lk(&mu_);
@@ -225,7 +181,7 @@ Result<std::future<Result<EstimateResponse>>> MicroBatcher::Enqueue(
           !block_until_admitted) {
         return admission_.Shed();
       }
-      // kBlock: wait for the dispatcher to drain, bounded by the deadline.
+      // kBlock: wait for a drain task to make room, bounded by the deadline.
       if (deadline == AdmissionController::Clock::time_point::max()) {
         not_full_.Wait(&mu_);
       } else if (not_full_.WaitUntil(&mu_, deadline) ==
@@ -239,23 +195,14 @@ Result<std::future<Result<EstimateResponse>>> MicroBatcher::Enqueue(
     pending.enqueued = AdmissionController::Clock::now();
     future = pending.promise.get_future();
     queue_.push_back(std::move(pending));
-    depth = queue_.size();
-    admission_.RecordDepth(depth);
-    if (pool_ != nullptr && started_ && !drain_scheduled_) {
+    admission_.RecordDepth(queue_.size());
+    if (started_ && !drain_scheduled_) {
       drain_scheduled_ = true;
       schedule_drain = true;
     }
   }
-  if (schedule_drain) {
-    pool_->Submit([this] { DrainOnPool(); });
-  } else if (pool_ == nullptr &&
-             (depth == 1 || depth % config_.batch_max == 0)) {
-    // Thread mode. The dispatcher only has something new to act on when the
-    // queue went non-empty or a full batch just completed; signaling every
-    // enqueue would pay a wakeup syscall per request at exactly the
-    // throughput-bound depths.
-    not_empty_.NotifyOne();
-  }
+  // Outside mu_, as in Start(): a workerless pool drains inline.
+  if (schedule_drain) pool_->Submit([this] { DrainOnPool(); });
   return future;
 }
 
@@ -270,32 +217,6 @@ bool MicroBatcher::PopBatch(std::vector<Pending>* batch) {
   }
   admission_.RecordDepth(queue_.size());
   return true;
-}
-
-void MicroBatcher::DispatchLoop() {
-  std::vector<Pending> batch;
-  while (true) {
-    {
-      util::MutexLock lk(&mu_);
-      while (!stop_ && queue_.empty()) not_empty_.Wait(&mu_);
-      if (queue_.empty()) break;  // stop_ with a drained queue
-      // Coalesce: after the first request, give stragglers a short window
-      // to fill the batch (skipped once it is already full or stopping).
-      if (queue_.size() < config_.batch_max && config_.batch_timeout_us > 0 &&
-          !stop_) {
-        AdmissionController::Clock::time_point straggler_deadline =
-            AdmissionController::Clock::now() +
-            std::chrono::microseconds(config_.batch_timeout_us);
-        while (!stop_ && queue_.size() < config_.batch_max &&
-               not_empty_.WaitUntil(&mu_, straggler_deadline) !=
-                   std::cv_status::timeout) {
-        }
-      }
-      PopBatch(&batch);
-    }
-    not_full_.NotifyAll();
-    ServeBatch(&batch);
-  }
 }
 
 void MicroBatcher::DrainOnPool() {

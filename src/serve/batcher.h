@@ -1,19 +1,15 @@
 // The micro-batcher: concurrent Estimate() callers enqueue featurized
-// predicates into a bounded MPSC queue; a dispatcher coalesces up to
+// predicates into a bounded MPSC queue; a drain task coalesces up to
 // `batch_max` of them into ONE EstimateTargets matrix pass over the current
 // snapshot — turning the SIMD GEMM into real serving throughput instead of
 // per-query GEMV.
 //
-// The dispatcher runs in one of two modes:
-//   - Start(): a dedicated dispatcher thread per batcher (the single-tenant
-//     model). After the first request of a batch it waits up to
-//     `batch_timeout_us` for stragglers before running a partial batch.
-//   - StartOnPool(pool): no owned thread — ready batches are drained by
-//     tasks on the shared util::ThreadPool. This is how a ServingFleet runs
-//     32+ tenants without 32+ dispatcher threads. Pool mode is
-//     work-conserving: it never waits for stragglers (coalescing happens
-//     naturally under load), and a drain task hands the worker back after a
-//     few batches so sibling tenants get their turn.
+// Dispatch owns no thread: ready batches are drained by tasks on a shared
+// util::ThreadPool, which is how a ServingFleet runs 32+ tenants without
+// 32+ dispatcher threads. Dispatch is work-conserving: it never waits for
+// stragglers (coalescing happens naturally under load), and a drain task
+// hands the worker back after a few batches so sibling tenants get their
+// turn.
 //
 // Determinism: a batched pass computes each row with exactly the per-row
 // operations of a 1-row pass, so under ParallelConfig::deterministic = true
@@ -25,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -51,15 +46,15 @@ class MicroBatcher {
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
-  // Starts the dedicated dispatcher thread. Requests enqueued beforehand
-  // (EstimateAsync) are served as soon as it runs. FailedPrecondition on a
-  // double Start or after Stop().
-  Status Start();
-  // Pool mode: dispatch runs as drain tasks on `pool` (which must outlive
-  // the batcher) instead of an owned thread. Same preconditions as Start().
-  Status StartOnPool(util::ThreadPool* pool);
-  // Stops dispatch; in thread mode the dispatcher drains the queue first,
-  // in pool mode still-queued requests are answered Unavailable. Idempotent.
+  // Starts dispatch as drain tasks on `pool`, which must outlive the
+  // batcher. Requests enqueued beforehand (EstimateAsync) are served as soon
+  // as the first task runs. A workerless pool (ThreadPool(1)) runs each
+  // drain inline on the thread that enqueued. FailedPrecondition on a double
+  // Start or after Stop().
+  Status Start(util::ThreadPool* pool);
+  // Stops dispatch: waits out the in-flight drain task, then answers every
+  // still-queued request with Unavailable; callers parked by kBlock get
+  // FailedPrecondition. Idempotent.
   void Stop();
   bool running() const;
 
@@ -67,7 +62,7 @@ class MicroBatcher {
   //
   // With batch_max == 1 this is the lock-free fast path: the estimate is
   // computed inline on the caller's thread against the current snapshot —
-  // no queue, no dispatcher, no lock shared with Publish(). With
+  // no queue, no drain task, no lock shared with Publish(). With
   // batch_max > 1 the request rides the queue (admission control and
   // deadlines apply) and resolves when its batch completes.
   Result<EstimateResponse> Estimate(const EstimateRequest& request);
@@ -75,24 +70,15 @@ class MicroBatcher {
   // Pipelining variant: enqueues and returns immediately; the future
   // resolves when the request's batch completes (or it is shed / expires).
   // Always takes the queue path so callers can keep many requests in
-  // flight; requires a running dispatcher to make progress.
+  // flight; requires Start() to make progress.
   std::future<Result<EstimateResponse>> EstimateAsync(EstimateRequest request);
 
   // The unbatched reference path: one snapshot load + one 1-row matrix pass
   // on the calling thread. Lock-free with respect to Publish(); safe from
-  // any thread at any time after the first snapshot is published.
+  // any thread at any time after the first snapshot is published. Its
+  // wall time is recorded in serve.latency_us like a batched request's.
   WARPER_HOT_PATH Result<EstimateResponse> EstimateDirect(
       const EstimateRequest& request) const;
-
-  // --- Deprecated positional shims (pre-fleet API). ---
-  [[deprecated("use Estimate(const EstimateRequest&)")]]
-  Result<double> Estimate(std::vector<double> features,
-                          int64_t deadline_us = 0);
-  [[deprecated("use EstimateAsync(EstimateRequest)")]]
-  std::future<Result<double>> EstimateAsync(std::vector<double> features,
-                                            int64_t deadline_us = 0);
-  [[deprecated("use EstimateDirect(const EstimateRequest&)")]]
-  Result<double> EstimateDirect(const std::vector<double>& features) const;
 
   // Requests answered with an estimate since construction (all paths).
   // The serving fleet reads this as the executor's traffic signal.
@@ -120,9 +106,8 @@ class MicroBatcher {
   WARPER_BLOCKING Result<std::future<Result<EstimateResponse>>> Enqueue(
       EstimateRequest request, bool block_until_admitted);
 
-  void DispatchLoop();
-  // Pool mode: drain up to kDrainRoundsPerTask batches, then either clear
-  // the scheduled flag (queue empty / stopping) or resubmit itself.
+  // Drains up to kDrainRoundsPerTask batches, then either clears the
+  // scheduled flag (queue empty / stopping) or resubmits itself.
   void DrainOnPool();
   // Pops up to batch_max requests into *batch; returns whether any were
   // popped. Updates the queue-depth gauge.
@@ -135,27 +120,25 @@ class MicroBatcher {
   const SnapshotStore* store_;
   size_t feature_dim_;
   AdmissionController admission_;
-  util::ThreadPool* pool_ = nullptr;  // set by StartOnPool, else null
+  util::ThreadPool* pool_ = nullptr;  // set by Start
 
   mutable util::Mutex mu_;
-  util::CondVar not_empty_;
   util::CondVar not_full_;
-  // Pool mode: signaled when a drain task clears drain_scheduled_, so
-  // Stop() can wait out an in-flight task before orphaning the queue.
+  // Signaled when a drain task clears drain_scheduled_, so Stop() can wait
+  // out an in-flight task before orphaning the queue.
   util::CondVar drain_idle_;
   std::deque<Pending> queue_ WARPER_GUARDED_BY(mu_);
-  std::thread dispatcher_;
   bool started_ WARPER_GUARDED_BY(mu_) = false;
   bool stop_ WARPER_GUARDED_BY(mu_) = false;
-  // Pool mode: true while a drain task is queued or running, so at most one
-  // exists per batcher at any time.
+  // True while a drain task is queued or running, so at most one exists per
+  // batcher at any time.
   bool drain_scheduled_ WARPER_GUARDED_BY(mu_) = false;
 
   // mutable: EstimateDirect is logically const (reads the snapshot) but
   // still counts as served traffic.
   mutable std::atomic<uint64_t> served_total_{0};
 
-  // qps gauge upkeep (dispatch path only; pool mode guards it with mu_-free
+  // qps gauge upkeep (dispatch path only; guarded by the mu_-free
   // single-drainer discipline: one drain task exists at a time).
   uint64_t window_served_ = 0;
   AdmissionController::Clock::time_point window_start_{};

@@ -42,23 +42,17 @@ Status ServingFleet::AddTenant(uint64_t tenant_id, core::Warper* warper) {
 
   auto entry = std::make_unique<TenantEntry>();
   entry->id = tenant_id;
-  // Per-tenant derivation: each tenant gets its own bounded queue so one
-  // saturated tenant cannot consume the whole fleet's queueing headroom.
-  entry->config = config_;
-  entry->config.queue_capacity = config_.tenant_queue_depth;
   entry->requests = util::Metrics().GetCounter(
       TenantMetricName("serve.tenant.requests", tenant_id));
   entry->shed = util::Metrics().GetCounter(
       TenantMetricName("serve.tenant.shed", tenant_id));
 
-  ServerOptions options;
-  options.config = &entry->config;
-  options.executor = &executor_;
-  options.dispatch_pool = dispatch_pool_;
-  options.fleet_epoch = &epoch_;
-  options.tenant_id = tenant_id;
-  options.tenant_metrics = true;
-  entry->server = std::make_unique<EstimationServer>(warper, options);
+  // Per-tenant derivation: each tenant gets its own bounded queue so one
+  // saturated tenant cannot consume the whole fleet's queueing headroom.
+  core::ServeConfig tenant_config = config_;
+  tenant_config.queue_capacity = config_.tenant_queue_depth;
+  entry->server = std::make_unique<EstimationServer>(
+      warper, tenant_config, &executor_, dispatch_pool_, &epoch_, tenant_id);
   tenants_.push_back(std::move(entry));
   return Status::OK();
 }
@@ -132,9 +126,10 @@ Result<ServingFleet::TenantEntry*> ServingFleet::Admit(
   // instantaneous count. priority > 0 bypasses (still subject to the
   // tenant's queue capacity).
   if (request.priority <= 0 && config_.tenant_shed_budget > 0) {
-    MicroBatcher* batcher = entry->server->batcher();
-    if (batcher != nullptr &&
-        batcher->ApproxQueueDepth() >= config_.tenant_shed_budget) {
+    // running() implies every tenant's batcher exists (Start is
+    // all-or-nothing).
+    if (entry->server->batcher()->ApproxQueueDepth() >=
+        config_.tenant_shed_budget) {
       entry->shed->Increment();
       return Status::Unavailable(
           "tenant " + std::to_string(request.tenant_id) +

@@ -117,7 +117,6 @@ class ServingFleet {
  private:
   struct TenantEntry {
     uint64_t id = 0;
-    core::ServeConfig config;  // per-tenant derivation of the fleet config
     std::unique_ptr<EstimationServer> server;
     util::Counter* requests = nullptr;  // serve.tenant.requests.<id>
     util::Counter* shed = nullptr;      // serve.tenant.shed.<id>

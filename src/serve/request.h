@@ -1,12 +1,10 @@
 // The serving request/response surface.
 //
-// One struct in, one struct out: every estimate — single-tenant
-// EstimationServer or multi-tenant ServingFleet, blocking or async — takes
-// an EstimateRequest and yields an EstimateResponse. The struct form exists
-// so the surface can grow (tenant routing, deadlines, priorities, and
-// whatever comes next) without another positional-parameter migration; the
-// old Estimate(features, deadline_us) pair survives only as deprecated
-// shims over this API.
+// One struct in, one struct out: every estimate — through a ServingFleet,
+// a tenant's EstimationServer or a MicroBatcher, blocking or async — takes
+// an EstimateRequest and yields an EstimateResponse. The struct form lets
+// the surface grow (tenant routing, deadlines, priorities, and whatever
+// comes next) without a positional-parameter migration.
 #ifndef WARPER_SERVE_REQUEST_H_
 #define WARPER_SERVE_REQUEST_H_
 
@@ -17,7 +15,7 @@
 namespace warper::serve {
 
 struct EstimateRequest {
-  // Which estimator answers: a ServingFleet routes on it; a standalone
+  // Which estimator answers: a ServingFleet routes on it; a tenant's
   // EstimationServer ignores it (and echoes it back in the response).
   uint64_t tenant_id = 0;
   // The featurized predicate, in the tenant domain's featurization width.

@@ -23,27 +23,26 @@ ServerMetrics& GetServerMetrics() {
 
 }  // namespace
 
-EstimationServer::EstimationServer(core::Warper* warper)
-    : EstimationServer(warper, ServerOptions{}) {}
-
 EstimationServer::EstimationServer(core::Warper* warper,
-                                   const ServerOptions& options)
+                                   const core::ServeConfig& config,
+                                   AdaptationExecutor* executor,
+                                   util::ThreadPool* dispatch_pool,
+                                   std::atomic<uint64_t>* fleet_epoch,
+                                   uint64_t tenant_id)
     : warper_(warper),
-      options_(options),
-      config_(options.config != nullptr ? *options.config
-                                        : warper->config().serve) {
-  WARPER_CHECK(warper != nullptr);
-  if (options_.tenant_metrics) {
-    tenant_rollbacks_ = util::Metrics().GetCounter(
-        TenantMetricName("serve.tenant.rollbacks", options_.tenant_id));
-    tenant_publishes_ = util::Metrics().GetCounter(
-        TenantMetricName("serve.tenant.publishes", options_.tenant_id));
-    // The global warper.drift_severity gauge only remembers the LAST tenant
-    // that adapted; under a fleet each tenant needs its own so the executor
-    // priority probes and the offender views agree.
-    tenant_drift_severity_ = util::Metrics().GetGauge(
-        TenantMetricName("warper.drift_severity", options_.tenant_id));
-  }
+      config_(config),
+      executor_(executor),
+      dispatch_pool_(dispatch_pool),
+      fleet_epoch_(fleet_epoch),
+      tenant_id_(tenant_id),
+      tenant_rollbacks_(util::Metrics().GetCounter(
+          TenantMetricName("serve.tenant.rollbacks", tenant_id))),
+      tenant_publishes_(util::Metrics().GetCounter(
+          TenantMetricName("serve.tenant.publishes", tenant_id))),
+      tenant_drift_severity_(util::Metrics().GetGauge(
+          TenantMetricName("warper.drift_severity", tenant_id))) {
+  WARPER_CHECK(warper != nullptr && executor != nullptr &&
+               dispatch_pool != nullptr && fleet_epoch != nullptr);
 }
 
 EstimationServer::~EstimationServer() { Stop(); }
@@ -80,20 +79,7 @@ Status EstimationServer::Start() {
       eval_set_.empty() ? 0.0 : ce::ModelGmq(*warper_->model(), eval_set_)));
   batcher_ = std::make_unique<MicroBatcher>(config_, &store_,
                                             warper_->domain()->FeatureDim());
-  if (options_.dispatch_pool != nullptr) {
-    WARPER_RETURN_NOT_OK(batcher_->StartOnPool(options_.dispatch_pool));
-  } else {
-    WARPER_RETURN_NOT_OK(batcher_->Start());
-  }
-  if (options_.executor != nullptr) {
-    executor_ = options_.executor;
-  } else {
-    // Standalone: a private single-worker executor reproduces the old
-    // one-adaptation-thread-per-server behavior.
-    owned_executor_ = std::make_unique<AdaptationExecutor>(config_);
-    WARPER_RETURN_NOT_OK(owned_executor_->Start());
-    executor_ = owned_executor_.get();
-  }
+  WARPER_RETURN_NOT_OK(batcher_->Start(dispatch_pool_));
   started_ = true;
   return Status::OK();
 }
@@ -104,10 +90,8 @@ void EstimationServer::Stop() {
     if (stop_) return;
     stop_ = true;
   }
-  // Order matters: the private executor's workers call Adapt on this
-  // object, so they must be joined before anything is torn down. A shared
-  // executor is the fleet's to stop (before it stops this server).
-  if (owned_executor_ != nullptr) owned_executor_->Stop();
+  // The executor's workers call Adapt on this object; the fleet stops the
+  // executor before it stops this server.
   if (batcher_ != nullptr) batcher_->Stop();
 }
 
@@ -135,35 +119,6 @@ std::future<Result<EstimateResponse>> EstimationServer::EstimateAsync(
   return batcher_->EstimateAsync(std::move(request));
 }
 
-// --- Deprecated positional shims: thin wrappers over the struct API. ---
-
-Result<double> EstimationServer::Estimate(std::vector<double> features,
-                                          int64_t deadline_us) {
-  EstimateRequest request;
-  request.tenant_id = options_.tenant_id;
-  request.features = std::move(features);
-  request.deadline_us = deadline_us;
-  Result<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return response.status();
-  return response.ValueOrDie().estimate;
-}
-
-std::future<Result<double>> EstimationServer::EstimateAsync(
-    std::vector<double> features, int64_t deadline_us) {
-  EstimateRequest request;
-  request.tenant_id = options_.tenant_id;
-  request.features = std::move(features);
-  request.deadline_us = deadline_us;
-  std::future<Result<EstimateResponse>> inner =
-      EstimateAsync(std::move(request));
-  return std::async(std::launch::deferred,
-                    [f = std::move(inner)]() mutable -> Result<double> {
-                      Result<EstimateResponse> r = f.get();
-                      if (!r.ok()) return r.status();
-                      return r.ValueOrDie().estimate;
-                    });
-}
-
 std::future<Result<AdaptationOutcome>> EstimationServer::SubmitInvocation(
     core::Warper::Invocation invocation) {
   {
@@ -176,7 +131,7 @@ std::future<Result<AdaptationOutcome>> EstimationServer::SubmitInvocation(
     }
   }
   return executor_->Submit(
-      options_.tenant_id,
+      tenant_id_,
       [this] {
         return PrioritySignals{drift_severity(), traffic_since_adapt(),
                                offender_pressure()};
@@ -185,7 +140,7 @@ std::future<Result<AdaptationOutcome>> EstimationServer::SubmitInvocation(
 }
 
 double EstimationServer::traffic_since_adapt() const {
-  if (batcher_ == nullptr) return 0.0;
+  // Read only by the executor's priority probe, i.e. after Start().
   uint64_t served = batcher_->served_total();
   uint64_t at_last = served_at_last_adapt_.load(std::memory_order_relaxed);
   return served > at_last ? static_cast<double>(served - at_last) : 0.0;
@@ -229,15 +184,11 @@ Result<AdaptationOutcome> EstimationServer::Adapt(
   outcome.version = store_.CurrentVersion();
   drift_severity_.store(outcome.result.drift_severity,
                         std::memory_order_relaxed);
-  if (tenant_drift_severity_ != nullptr) {
-    tenant_drift_severity_->Set(outcome.result.drift_severity);
-  }
+  tenant_drift_severity_->Set(outcome.result.drift_severity);
   offender_pressure_.store(warper_->tracker().UnhealthyShare(),
                            std::memory_order_relaxed);
-  if (batcher_ != nullptr) {
-    served_at_last_adapt_.store(batcher_->served_total(),
-                                std::memory_order_relaxed);
-  }
+  served_at_last_adapt_.store(batcher_->served_total(),
+                              std::memory_order_relaxed);
   if (!eval_set_.empty()) {
     // Stable benchmark: compare against the score the serving version was
     // published with, on the same examples.
@@ -261,7 +212,7 @@ Result<AdaptationOutcome> EstimationServer::Adapt(
     WARPER_RETURN_NOT_OK(warper_->model()->RestoreFrom(last_good->model()));
     WARPER_RETURN_NOT_OK(warper_->RestoreModuleState(last_good->modules()));
     GetServerMetrics().rollbacks->Increment();
-    if (tenant_rollbacks_ != nullptr) tenant_rollbacks_->Increment();
+    tenant_rollbacks_->Increment();
     outcome.rolled_back = true;
     return outcome;
   }
@@ -285,12 +236,9 @@ Status EstimationServer::PublishCurrent(double gmq) {
   store_.Publish(std::make_shared<const ModelSnapshot>(
       next_version_++, std::move(clone), modules.MoveValueOrDie(), gmq));
   GetServerMetrics().publishes->Increment();
-  if (tenant_publishes_ != nullptr) tenant_publishes_->Increment();
-  if (options_.fleet_epoch != nullptr) {
-    uint64_t epoch =
-        options_.fleet_epoch->fetch_add(1, std::memory_order_acq_rel) + 1;
-    GetServerMetrics().fleet_epoch->Set(static_cast<double>(epoch));
-  }
+  tenant_publishes_->Increment();
+  uint64_t epoch = fleet_epoch_->fetch_add(1, std::memory_order_acq_rel) + 1;
+  GetServerMetrics().fleet_epoch->Set(static_cast<double>(epoch));
   return Status::OK();
 }
 

@@ -21,6 +21,12 @@ struct SweepCase {
   const char* dataset;
 };
 
+// Without this gtest prints the two raw pointers, so the listed test names
+// (and the ctest names built from them) would change with every run under ASLR.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.model << '/' << c.dataset;
+}
+
 std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
   std::string name = std::string(info.param.model) + "_" + info.param.dataset;
   for (char& ch : name) {

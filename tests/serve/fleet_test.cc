@@ -1,7 +1,6 @@
 // ServingFleet: routing, the shared prioritized adaptation executor,
 // per-tenant isolation (queue depth + shed budget), the fleet epoch, the
-// request-struct serve API (and its deprecated shims), and the
-// AdaptationOutcome::version contract.
+// request-struct serve API, and the AdaptationOutcome::version contract.
 #include "serve/fleet.h"
 
 #include <gtest/gtest.h>
@@ -128,9 +127,11 @@ TEST(ServeConfigFleetKnobsTest, ServerStartValidatesInjectedConfig) {
 
   core::ServeConfig bad;
   bad.adapt_threads = 0;
-  ServerOptions options;
-  options.config = &bad;
-  EstimationServer server(&warper, options);
+  AdaptationExecutor executor((core::ServeConfig()));
+  util::ThreadPool pool(1);
+  std::atomic<uint64_t> epoch{0};
+  EstimationServer server(&warper, bad, &executor, &pool, &epoch,
+                          /*tenant_id=*/0);
   Status status = server.Start();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
@@ -598,39 +599,6 @@ TEST(ServingFleetTest, ShedBudgetIsolatesASaturatedTenant) {
   EXPECT_TRUE(bypassed.get().ok());
   EXPECT_TRUE(sibling.get().ok());
   fleet.Stop();
-}
-
-// Satellite: the deprecated positional shims still work and agree with the
-// request-struct API they wrap.
-TEST(ServingFleetTest, DeprecatedShimsDelegateToRequestApi) {
-  StubFleetEnv env(54);
-  std::vector<ce::LabeledExample> train =
-      env.Examples(workload::GenMethod::kW1, 40);
-  core::Warper* warper = env.MakeTenant(train);
-
-  core::ServeConfig config;
-  config.batch_max = 1;
-  ServerOptions options;
-  options.config = &config;
-  EstimationServer server(warper, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  const std::vector<double>& probe = train[0].features;
-  Result<EstimateResponse> via_struct =
-      server.Estimate(TenantRequest(0, probe));
-  ASSERT_TRUE(via_struct.ok());
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Result<double> via_shim = server.Estimate(probe);
-  std::future<Result<double>> via_async_shim = server.EstimateAsync(probe);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(via_shim.ok());
-  EXPECT_EQ(via_shim.ValueOrDie(), via_struct.ValueOrDie().estimate);
-  Result<double> async_value = via_async_shim.get();
-  ASSERT_TRUE(async_value.ok());
-  EXPECT_EQ(async_value.ValueOrDie(), via_struct.ValueOrDie().estimate);
-  server.Stop();
 }
 
 // ---------------------------------------------------------------------------

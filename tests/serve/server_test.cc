@@ -1,4 +1,5 @@
-// EstimationServer: snapshot lifecycle, publish gate and §3.4 rollback.
+// EstimationServer, the tenant shard of a ServingFleet: snapshot lifecycle,
+// publish gate and §3.4 rollback, driven through a one-tenant fleet.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 
 #include "ce/lm.h"
 #include "ce/metrics.h"
+#include "serve/fleet.h"
 #include "storage/annotator.h"
 #include "storage/datasets.h"
 #include "util/metrics.h"
@@ -47,6 +49,17 @@ EstimateRequest Req(std::vector<double> features) {
   EstimateRequest request;
   request.features = std::move(features);
   return request;
+}
+
+// A single-tenant deployment: a ServingFleet with one tenant serving with
+// the warper's own serve knobs.
+constexpr uint64_t kTenant = 0;
+
+std::unique_ptr<ServingFleet> OneTenantFleet(core::Warper* warper,
+                                             uint64_t tenant_id = kTenant) {
+  auto fleet = std::make_unique<ServingFleet>(warper->config().serve);
+  WARPER_CHECK(fleet->AddTenant(tenant_id, warper).ok());
+  return fleet;
 }
 
 core::WarperConfig FastConfig() {
@@ -92,8 +105,7 @@ TEST(EstimationServerTest, StartRequiresInitializedWarper) {
       env.Examples(workload::GenMethod::kW1, 400);
   auto model = TrainModel(env, train, 30);
   core::Warper warper(&env.domain, model.get(), FastConfig());
-  EstimationServer server(&warper);
-  EXPECT_FALSE(server.Start().ok());  // Initialize() never ran
+  EXPECT_FALSE(OneTenantFleet(&warper)->Start().ok());  // no Initialize()
 }
 
 TEST(EstimationServerTest, StartPublishesVersionOneAndServes) {
@@ -104,22 +116,23 @@ TEST(EstimationServerTest, StartPublishesVersionOneAndServes) {
   core::Warper warper(&env.domain, model.get(), FastConfig());
   ASSERT_TRUE(warper.Initialize(train).ok());
 
-  EstimationServer server(&warper);
-  ASSERT_TRUE(server.Start().ok());
-  EXPECT_TRUE(server.running());
-  EXPECT_EQ(server.CurrentVersion(), 1u);
-  EXPECT_FALSE(server.Start().ok());  // double Start
+  auto fleet = OneTenantFleet(&warper);
+  EstimationServer* server = fleet->tenant(kTenant);
+  ASSERT_TRUE(fleet->Start().ok());
+  EXPECT_TRUE(server->running());
+  EXPECT_EQ(server->CurrentVersion(), 1u);
+  EXPECT_FALSE(fleet->Start().ok());  // double Start
 
   // Served estimates come from the snapshot clone and match the live model
   // exactly while no adaptation has run.
   const std::vector<double>& probe = train[0].features;
-  Result<EstimateResponse> served = server.Estimate(Req(probe));
+  Result<EstimateResponse> served = server->Estimate(Req(probe));
   ASSERT_TRUE(served.ok());
   EXPECT_EQ(served.ValueOrDie().estimate, model->EstimateCardinality(probe));
   EXPECT_EQ(served.ValueOrDie().version, 1u);
-  server.Stop();
-  EXPECT_FALSE(server.running());
-  EXPECT_FALSE(server.Estimate(Req(probe)).ok());
+  fleet->Stop();
+  EXPECT_FALSE(server->running());
+  EXPECT_FALSE(server->Estimate(Req(probe)).ok());
 }
 
 TEST(EstimationServerTest, AdaptationPublishesNewVersion) {
@@ -133,28 +146,29 @@ TEST(EstimationServerTest, AdaptationPublishesNewVersion) {
   core::Warper warper(&env.domain, model.get(), config);
   ASSERT_TRUE(warper.Initialize(train).ok());
 
-  EstimationServer server(&warper);
-  ASSERT_TRUE(server.Start().ok());
+  auto fleet = OneTenantFleet(&warper);
+  EstimationServer* server = fleet->tenant(kTenant);
+  ASSERT_TRUE(fleet->Start().ok());
 
   core::Warper::Invocation invocation;
   invocation.new_queries = env.Examples(workload::GenMethod::kW3, 60);
   Result<AdaptationOutcome> outcome =
-      server.SubmitInvocation(std::move(invocation)).get();
+      server->SubmitInvocation(std::move(invocation)).get();
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome.ValueOrDie().result.model_updated);
   EXPECT_TRUE(outcome.ValueOrDie().published);
   EXPECT_FALSE(outcome.ValueOrDie().rolled_back);
   EXPECT_EQ(outcome.ValueOrDie().version, 2u);
-  EXPECT_EQ(server.CurrentVersion(), 2u);
+  EXPECT_EQ(server->CurrentVersion(), 2u);
 
   // The new snapshot serves the adapted model's estimates, and the response
   // reports the version that served it.
   const std::vector<double>& probe = train[0].features;
-  Result<EstimateResponse> served = server.Estimate(Req(probe));
+  Result<EstimateResponse> served = server->Estimate(Req(probe));
   ASSERT_TRUE(served.ok());
   EXPECT_EQ(served.ValueOrDie().estimate, model->EstimateCardinality(probe));
   EXPECT_EQ(served.ValueOrDie().version, 2u);
-  server.Stop();
+  fleet->Stop();
 }
 
 TEST(EstimationServerTest, RegressionRollsBackModelAndVersion) {
@@ -168,11 +182,12 @@ TEST(EstimationServerTest, RegressionRollsBackModelAndVersion) {
   core::Warper warper(&env.domain, model.get(), config);
   ASSERT_TRUE(warper.Initialize(train).ok());
 
-  EstimationServer server(&warper);
+  auto fleet = OneTenantFleet(&warper);
+  EstimationServer* server = fleet->tenant(kTenant);
   std::vector<ce::LabeledExample> eval = SelfLabeledEvalSet(*model, train);
   ASSERT_GE(eval.size(), 10u);
-  ASSERT_TRUE(server.SetEvalSet(eval).ok());
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->SetEvalSet(eval).ok());
+  ASSERT_TRUE(fleet->Start().ok());
 
   const std::vector<double>& probe = eval[0].features;
   double before = model->EstimateCardinality(probe);
@@ -180,16 +195,16 @@ TEST(EstimationServerTest, RegressionRollsBackModelAndVersion) {
   core::Warper::Invocation invocation;
   invocation.new_queries = env.Examples(workload::GenMethod::kW3, 60);
   Result<AdaptationOutcome> result =
-      server.SubmitInvocation(std::move(invocation)).get();
+      server->SubmitInvocation(std::move(invocation)).get();
   ASSERT_TRUE(result.ok());
   AdaptationOutcome outcome = result.MoveValueOrDie();
   EXPECT_TRUE(outcome.rolled_back);
   EXPECT_FALSE(outcome.published);
   EXPECT_GT(outcome.gate_after, outcome.gate_before);
   // Version unchanged; the live model's weights are restored bit-exact.
-  EXPECT_EQ(server.CurrentVersion(), 1u);
+  EXPECT_EQ(server->CurrentVersion(), 1u);
   EXPECT_EQ(model->EstimateCardinality(probe), before);
-  server.Stop();
+  fleet->Stop();
 }
 
 TEST(EstimationServerTest, EvalSetValidation) {
@@ -199,12 +214,13 @@ TEST(EstimationServerTest, EvalSetValidation) {
   auto model = TrainModel(env, train, 34);
   core::Warper warper(&env.domain, model.get(), FastConfig());
   ASSERT_TRUE(warper.Initialize(train).ok());
-  EstimationServer server(&warper);
+  auto fleet = OneTenantFleet(&warper);
+  EstimationServer* server = fleet->tenant(kTenant);
 
-  EXPECT_FALSE(server.SetEvalSet({{{1.0, 2.0}, 10}}).ok());  // wrong width
-  ASSERT_TRUE(server.Start().ok());
-  EXPECT_FALSE(server.SetEvalSet(train).ok());  // too late
-  server.Stop();
+  EXPECT_FALSE(server->SetEvalSet({{{1.0, 2.0}, 10}}).ok());  // wrong width
+  ASSERT_TRUE(fleet->Start().ok());
+  EXPECT_FALSE(server->SetEvalSet(train).ok());  // too late
+  fleet->Stop();
 }
 
 TEST(EstimationServerTest, ReportObservationValidation) {
@@ -214,19 +230,20 @@ TEST(EstimationServerTest, ReportObservationValidation) {
   auto model = TrainModel(env, train, 36);
   core::Warper warper(&env.domain, model.get(), FastConfig());
   ASSERT_TRUE(warper.Initialize(train).ok());
-  EstimationServer server(&warper);
+  auto fleet = OneTenantFleet(&warper);
+  EstimationServer* server = fleet->tenant(kTenant);
 
   const std::vector<double>& probe = train[0].features;
   // Not running yet.
-  EXPECT_EQ(server.ReportObservation(probe, 100.0).code(),
+  EXPECT_EQ(server->ReportObservation(probe, 100.0).code(),
             StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(fleet->Start().ok());
   // Wrong feature width.
-  EXPECT_EQ(server.ReportObservation({1.0, 2.0}, 100.0).code(),
+  EXPECT_EQ(server->ReportObservation({1.0, 2.0}, 100.0).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_TRUE(server.ReportObservation(probe, 100.0).ok());
-  server.Stop();
-  EXPECT_FALSE(server.ReportObservation(probe, 100.0).ok());
+  EXPECT_TRUE(server->ReportObservation(probe, 100.0).ok());
+  fleet->Stop();
+  EXPECT_FALSE(server->ReportObservation(probe, 100.0).ok());
 }
 
 TEST(EstimationServerTest, ReportObservationDrivesOffenderPressure) {
@@ -239,24 +256,25 @@ TEST(EstimationServerTest, ReportObservationDrivesOffenderPressure) {
   core::Warper warper(&env.domain, model.get(), config);
   ASSERT_TRUE(warper.Initialize(train).ok());
 
-  EstimationServer server(&warper);
-  ASSERT_TRUE(server.Start().ok());
-  EXPECT_DOUBLE_EQ(server.offender_pressure(), 0.0);
-  EXPECT_TRUE(server.TopOffenders(3).empty());
+  auto fleet = OneTenantFleet(&warper);
+  EstimationServer* server = fleet->tenant(kTenant);
+  ASSERT_TRUE(fleet->Start().ok());
+  EXPECT_DOUBLE_EQ(server->offender_pressure(), 0.0);
+  EXPECT_TRUE(server->TopOffenders(3).empty());
 
   // Serving-path feedback far off the served estimate: the only observed
   // template goes unhealthy, so its traffic share — the offender pressure
   // the executor probe reads — is 1.
   const std::vector<double>& probe = train[0].features;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(server.ReportObservation(probe, 1e9).ok());
+    ASSERT_TRUE(server->ReportObservation(probe, 1e9).ok());
   }
-  EXPECT_DOUBLE_EQ(server.offender_pressure(), 1.0);
-  std::vector<core::TemplateTracker::Offender> top = server.TopOffenders(3);
+  EXPECT_DOUBLE_EQ(server->offender_pressure(), 1.0);
+  std::vector<core::TemplateTracker::Offender> top = server->TopOffenders(3);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].stats.count, 3u);
   EXPECT_GT(top[0].drift_score, 1.0);
-  server.Stop();
+  fleet->Stop();
 }
 
 TEST(EstimationServerTest, TenantMetricsPublishDriftSeverityGauge) {
@@ -269,23 +287,21 @@ TEST(EstimationServerTest, TenantMetricsPublishDriftSeverityGauge) {
   core::Warper warper(&env.domain, model.get(), config);
   ASSERT_TRUE(warper.Initialize(train).ok());
 
-  ServerOptions options;
-  options.tenant_id = 77;
-  options.tenant_metrics = true;
-  EstimationServer server(&warper, options);
-  ASSERT_TRUE(server.Start().ok());
+  auto fleet = OneTenantFleet(&warper, /*tenant_id=*/77);
+  EstimationServer* server = fleet->tenant(77);
+  ASSERT_TRUE(fleet->Start().ok());
 
   core::Warper::Invocation invocation;
   invocation.new_queries = env.Examples(workload::GenMethod::kW3, 60);
-  ASSERT_TRUE(server.SubmitInvocation(std::move(invocation)).get().ok());
+  ASSERT_TRUE(server->SubmitInvocation(std::move(invocation)).get().ok());
 
   // The per-tenant instance carries this tenant's severity (the global
   // warper.drift_severity gauge only shows the last writer fleet-wide).
   util::MetricsSnapshot snap = util::Metrics().Snapshot();
   auto it = snap.gauges.find("warper.drift_severity.77");
   ASSERT_NE(it, snap.gauges.end());
-  EXPECT_DOUBLE_EQ(it->second, server.drift_severity());
-  server.Stop();
+  EXPECT_DOUBLE_EQ(it->second, server->drift_severity());
+  fleet->Stop();
 }
 
 TEST(EstimationServerTest, SubmitBeforeStartIsRefused) {
@@ -295,10 +311,11 @@ TEST(EstimationServerTest, SubmitBeforeStartIsRefused) {
   auto model = TrainModel(env, train, 35);
   core::Warper warper(&env.domain, model.get(), FastConfig());
   ASSERT_TRUE(warper.Initialize(train).ok());
-  EstimationServer server(&warper);
+  auto fleet = OneTenantFleet(&warper);
+  EstimationServer* server = fleet->tenant(kTenant);
 
   Result<AdaptationOutcome> refused =
-      server.SubmitInvocation(core::Warper::Invocation{}).get();
+      server->SubmitInvocation(core::Warper::Invocation{}).get();
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
 }

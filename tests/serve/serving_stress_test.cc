@@ -14,6 +14,7 @@
 #include "serve/snapshot.h"
 #include "serve_test_util.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace warper::serve {
 namespace {
@@ -83,9 +84,9 @@ TEST(ServingStressTest, ProducersVsHotSwapsBatchedPath) {
   store.Publish(MakeStubSnapshot(1, /*scale=*/1.0));
   core::ServeConfig config;
   config.batch_max = 8;
-  config.batch_timeout_us = 50;
+  util::ThreadPool pool(2);
   MicroBatcher batcher(config, &store, kDim);
-  ASSERT_TRUE(batcher.Start().ok());
+  ASSERT_TRUE(batcher.Start(&pool).ok());
 
   constexpr size_t kProducers = 4;
   constexpr size_t kSwaps = 100;
